@@ -1097,6 +1097,7 @@ let table_s4 () =
       ("s1_lite_ops25", s4_lite_samples ~ops:25 ~clients:1 ~trials:5);
       ("s1_lite_ops100x4", s4_lite_samples ~ops:100 ~clients:4 ~trials:3);
       ("s1_full_ops25", s4_full_samples ~ops:25 ~clients:1 ~trials:3);
+      ("s1_full_ops200x4", s4_full_samples ~ops:200 ~clients:4 ~trials:3);
       ("storm_full", s4_storm_samples ~tracing:Thc_sim.Engine.Full ~trials:3);
       ("storm_off", s4_storm_samples ~tracing:Thc_sim.Engine.Off ~trials:3);
     ]
@@ -1112,6 +1113,8 @@ let table_s4 () =
     "(wall-clock and nondeterministic by design — the one table whose\n\
     \ numbers measure the machine, not the model.  s1_lite_* is the\n\
     \ measurement mode: the S1 schedule under Outputs_only tracing.\n\
+    \ s1_full_* adds Full tracing and every post-run fold; ops200x4 is a\n\
+    \ long run, so its ev/s next to ops25 shows per-event cost growth.\n\
     \ storm_* is the bare engine; min is the robust column on a noisy box.)"
 
 (* ----------------------------------------------------------------------- *)

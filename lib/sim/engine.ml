@@ -367,12 +367,7 @@ let to_trace t =
   let byzantine =
     List.filter (fun p -> t.byzantine.(p)) (List.init t.n (fun i -> i))
   in
-  {
-    Trace.n = t.n;
-    byzantine;
-    entries = List.rev t.entries;
-    end_time = t.clock;
-  }
+  Trace.make ~n:t.n ~byzantine ~end_time:t.clock (List.rev t.entries)
 
 let run ?(max_events = 2_000_000) ?until t =
   for pid = 0 to t.n - 1 do

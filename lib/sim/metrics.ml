@@ -33,49 +33,56 @@ type delivery_report = {
   in_flight_at_end : int;
 }
 
+(* Where one engine sequence number has been.  A held message can later be
+   delivered (link healed) or dropped (link degraded); only seqs whose
+   last state is Held are still queued when the trace ends. *)
+type lifecycle = {
+  mutable sent_at : int64;  (* time of the latest Sent, or [never_sent] *)
+  mutable delivered : bool;
+  mutable dropped : bool;
+  mutable held : bool;
+}
+
+let never_sent = Int64.min_int
+
+module Seq_tbl = Hashtbl.Make (Int)
+
 let delivery_report trace =
-  let sent_at = Hashtbl.create 256 in
-  (* Per-seq lifecycle: a held message can later be delivered (link healed)
-     or dropped (link degraded); only seqs whose *last* state is Held are
-     still queued when the trace ends. *)
-  let delivered = Hashtbl.create 256 in
-  let dropped = Hashtbl.create 16 in
-  let held = Hashtbl.create 16 in
+  let seqs = Seq_tbl.create 1024 in
+  let lifecycle seq =
+    match Seq_tbl.find_opt seqs seq with
+    | Some l -> l
+    | None ->
+      let l = { sent_at = never_sent; delivered = false; dropped = false; held = false } in
+      Seq_tbl.add seqs seq l;
+      l
+  in
   let latencies = ref [] in
   List.iter
     (fun entry ->
       match entry with
-      | Trace.Sent { time; seq; _ } -> Hashtbl.replace sent_at seq time
+      | Trace.Sent { time; seq; _ } -> (lifecycle seq).sent_at <- time
       | Trace.Delivered { time; seq; _ } ->
-        Hashtbl.replace delivered seq ();
-        (match Hashtbl.find_opt sent_at seq with
-        | Some t0 ->
-          latencies := Int64.to_float (Int64.sub time t0) :: !latencies
-        | None -> ())
-      | Trace.Dropped { seq; _ } -> Hashtbl.replace dropped seq ()
-      | Trace.Held { seq; _ } -> Hashtbl.replace held seq ()
+        let l = lifecycle seq in
+        l.delivered <- true;
+        if l.sent_at <> never_sent then
+          latencies := Int64.to_float (Int64.sub time l.sent_at) :: !latencies
+      | Trace.Dropped { seq; _ } -> (lifecycle seq).dropped <- true
+      | Trace.Held { seq; _ } -> (lifecycle seq).held <- true
       | Trace.Timer_fired _ | Trace.Crashed _ | Trace.Output _ -> ())
     trace.Trace.entries;
-  let held_at_end =
-    Hashtbl.fold
-      (fun seq () acc ->
-        if Hashtbl.mem delivered seq || Hashtbl.mem dropped seq then acc
-        else acc + 1)
-      held 0
-  in
-  let matched = Hashtbl.length delivered in
+  let sent = ref 0 and delivered = ref 0 and dropped = ref 0 and held_at_end = ref 0 in
+  Seq_tbl.iter
+    (fun _ l ->
+      if l.sent_at <> never_sent then incr sent;
+      if l.delivered then incr delivered;
+      if l.dropped then incr dropped;
+      if l.held && not (l.delivered || l.dropped) then incr held_at_end)
+    seqs;
   {
     latencies = List.rev !latencies;
-    delivered = matched;
-    held_at_end;
-    dropped = Hashtbl.length dropped;
-    in_flight_at_end =
-      Hashtbl.length sent_at - matched - Hashtbl.length dropped - held_at_end;
+    delivered = !delivered;
+    held_at_end = !held_at_end;
+    dropped = !dropped;
+    in_flight_at_end = !sent - !delivered - !dropped - !held_at_end;
   }
-
-let delivery_latencies trace = (delivery_report trace).latencies
-
-let events_per_virtual_ms trace =
-  let ms = Int64.to_float trace.Trace.end_time /. 1000.0 in
-  if ms <= 0.0 then 0.0
-  else float_of_int (List.length trace.Trace.entries) /. ms

@@ -27,9 +27,3 @@ type delivery_report = {
 val delivery_report : 'm Trace.t -> delivery_report
 (** Full delivery accounting: every [Sent] is attributed to exactly one of
     [delivered] / [dropped] / [held_at_end] / [in_flight_at_end]. *)
-
-val delivery_latencies : 'm Trace.t -> float list
-(** [(delivery_report trace).latencies] — kept for existing callers. *)
-
-val events_per_virtual_ms : 'm Trace.t -> float
-(** Trace entries per virtual millisecond — a load measure. *)

@@ -10,17 +10,22 @@ type 'm entry =
 type 'm t = {
   n : int;
   byzantine : int list;
+  crashed : int list;
   entries : 'm entry list;
   end_time : int64;
 }
 
-let crashed_pids t =
-  List.filter_map
-    (function Crashed { pid; _ } -> Some pid | _ -> None)
-    t.entries
+let make ~n ~byzantine ~end_time entries =
+  let crashed =
+    List.filter_map
+      (function Crashed { pid; _ } -> Some pid | _ -> None)
+      entries
+    |> List.sort_uniq compare
+  in
+  { n; byzantine; crashed; entries; end_time }
 
 let correct t pid =
-  (not (List.mem pid t.byzantine)) && not (List.mem pid (crashed_pids t))
+  (not (List.mem pid t.byzantine)) && not (List.mem pid t.crashed)
 
 let correct_pids t = List.filter (correct t) (List.init t.n (fun i -> i))
 
@@ -78,9 +83,7 @@ let messages_delivered t = count t (function Delivered _ -> true | _ -> false)
 
 let map_msg f t =
   {
-    n = t.n;
-    byzantine = t.byzantine;
-    end_time = t.end_time;
+    t with
     entries =
       List.map
         (function
@@ -232,7 +235,7 @@ let of_jsonl s =
           (Ok []) rest
         |> Result.map List.rev
       in
-      Ok { n; byzantine; end_time; entries }
+      Ok (make ~n ~byzantine ~end_time entries)
 
 let pp pp_msg ppf t =
   let pp_entry ppf = function

@@ -15,15 +15,23 @@ type 'm entry =
   | Crashed of { time : int64; pid : int }
   | Output of { time : int64; pid : int; obs : Obs.t }
 
-type 'm t = {
+type 'm t = private {
   n : int;
   byzantine : int list;  (** Processes marked faulty by the harness. *)
+  crashed : int list;
+      (** Pids with a [Crashed] entry, ascending, each once.  Computed once
+          when the trace is built, so {!correct} never scans [entries]. *)
   entries : 'm entry list;  (** In execution order. *)
   end_time : int64;
 }
 
+val make : n:int -> byzantine:int list -> end_time:int64 -> 'm entry list -> 'm t
+(** The one way to build a trace: reads the crashed set off [entries] in
+    a single pass. *)
+
 val correct : 'm t -> int -> bool
-(** Not marked Byzantine and never crashed. *)
+(** Not marked Byzantine and never crashed.  Costs O(faulty pids), not
+    O(entries). *)
 
 val correct_pids : 'm t -> int list
 
