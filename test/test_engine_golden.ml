@@ -3,10 +3,12 @@
    Four representative runs — one per driver family (explore, attack,
    loadtest, bench S1 cell) — were recorded as JSONL engine traces under
    test/corpus/golden/ BEFORE the engine hot-path rewrite (calendar queue +
-   arena events).  This suite regenerates each run at the same seed and
-   asserts the trace is byte-for-byte identical to the recording, turning
-   "the rewritten engine is observationally identical" from a hope into a
-   checked property.
+   arena events).  Three more — a PBFT and a uBFT harness run and a
+   closed-loop uBFT loadtest point — were recorded before the per-protocol
+   cluster builders were merged into Thc_replication.Cluster.  This suite
+   regenerates each run at the same seed and asserts the trace is
+   byte-for-byte identical to the recording, turning "the rewritten code
+   is observationally identical" from a hope into a checked property.
 
    Regeneration goes through Thc_exec.Pool, so THC_GOLDEN_JOBS=2 also
    proves the traces survive fork/marshal worker boundaries unchanged
@@ -69,12 +71,47 @@ let loadtest_trace () =
 let bench_s1_trace () =
   snd (H.run_export (H.Setup.make ~protocol:H.Minbft ~f:1 ~seed:17L ()))
 
+(* PBFT under a crashed view-0 leader: the view change is on the path. *)
+let pbft_trace () =
+  snd
+    (H.run_export
+       (H.Setup.make ~protocol:H.Pbft ~f:1 ~ops:6 ~scenario:(H.Crash_leader 12_000L)
+          ~seed:23L ()))
+
+(* uBFT fault-free: register appends, doorbells and truncation. *)
+let ubft_trace () =
+  snd (H.run_export (H.Setup.make ~protocol:H.Ubft ~f:1 ~ops:6 ~seed:31L ()))
+
+(* A closed-loop uBFT loadtest point: the Traffic.closed_loop client. *)
+let closed_trace () =
+  snd
+    (L.run_point_export
+       {
+         L.protocol = L.Ubft;
+         f = 1;
+         batch = 2;
+         seed = 37L;
+         delay = fast;
+         network = None;
+         spec =
+           {
+             W.clients = 2;
+             requests_per_client = 8;
+             arrival = W.Closed { window = 2; think_us = 200L };
+             keys = W.Keys_zipf { keys = 16; theta = 0.99 };
+             mix = W.default_mix;
+           };
+       })
+
 let corpus =
   [
     ("explore", explore_trace);
     ("attack", attack_trace);
     ("loadtest", loadtest_trace);
     ("bench_s1", bench_s1_trace);
+    ("pbft", pbft_trace);
+    ("ubft", ubft_trace);
+    ("closed", closed_trace);
   ]
 
 let jobs () =
