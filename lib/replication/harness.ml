@@ -258,12 +258,8 @@ let export_of (type m) ~(trace : m Thc_sim.Trace.t) ~outcome =
 
 let apply_scenario (type m) setup ~(engine : m Thc_sim.Engine.t) ~replicas =
   match setup.scenario with
-  | Fault_free -> ()
-  | Restart_replica { pid; at } ->
-    if pid >= replicas then
-      invalid_arg "Harness: restart scenario may only target a replica";
-    if at <= 0L then invalid_arg "Harness: restart time must be positive"
-    (* the wipe itself is wired at behavior-install time (Minbft only) *)
+  (* the restart itself is wired into the replica by [Cluster.make] *)
+  | Fault_free | Restart_replica _ -> ()
   | Crash_leader at -> Thc_sim.Engine.schedule_crash engine ~pid:0 ~at
   | Silent_replicas ->
     for i = 0 to setup.f - 1 do
@@ -301,208 +297,57 @@ let wrap_net_client setup ~replicas ~clients ~c ~pid behavior =
     Thc_network.Model.wrap_client m ~replicas ~f:setup.f ~clients
       ~client_index:c ~pid behavior
 
-(* The two protocol builders share their shape through a continuation:
-   assemble the cluster (engine at the requested tracing level, replicas,
-   clients, fault schedule), then hand the engine plus the
-   protocol-specific accessors to [k].  Full-fidelity runs and the
-   throughput-mode lite runs differ only in the continuation. *)
-let with_minbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  let config =
-    {
-      (Minbft.default_config ~f:setup.f) with
-      batch_size = max 1 setup.batch;
-      checkpoint_interval = max 0 setup.checkpoint_interval;
-    }
-  in
-  let n = config.n in
-  let clients = n_clients setup in
-  let total = n + clients in
-  let rng = Thc_util.Rng.create setup.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:setup.delay in
-  let engine =
-    Thc_sim.Engine.create ~seed:setup.seed ~tracing ~spans ~n:total ~net ()
-  in
-  (* Every trusted-hardware bump lands on the ambient span phase, so the
-     per-phase table attributes seals/verifies to prepare vs commit. *)
-  if Thc_obsv.Span.enabled spans then
-    Thc_obsv.Ledger.set_observer
-      (Thc_hardware.Trinc.ledger world)
-      (Thc_obsv.Span.attribute spans);
-  let states =
-    Array.init n (fun self ->
-        Minbft.create_replica ~config ~keyring ~world
-          ~trinket:(Thc_hardware.Trinc.trinket world ~owner:self)
-          ~self)
-  in
-  let restart_for pid =
+let cluster ?(spans = Thc_obsv.Span.nop) setup =
+  let restart =
     match setup.scenario with
-    | Restart_replica { pid = p; at } when p = pid -> Some at
-    | _ -> None
+    | Restart_replica { pid; at } -> Some (pid, at)
+    | Fault_free | Crash_leader _ | Silent_replicas | Scripted _ -> None
   in
-  Array.iteri
-    (fun pid st ->
-      Thc_sim.Engine.set_behavior engine pid
-        (Minbft.replica ?restart_at:(restart_for pid) st))
-    states;
-  for c = 0 to clients - 1 do
-    let pid = n + c in
-    Thc_sim.Engine.set_behavior engine pid
-      (wrap_net_client setup ~replicas:n ~clients ~c ~pid
-         (Minbft.client ~rid_base:(c * setup.ops) ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-            ~plan:(plan_for setup c)))
-  done;
-  apply_scenario setup ~engine ~replicas:n;
-  install_network setup ~engine ~replicas:n;
-  k engine ~replicas:n
-    ~final_view:(fun () ->
-      Array.fold_left (fun acc st -> max acc (Minbft.view_of st)) 0 states)
-    ~classify:Minbft.classify_msg
-    ~hw:(Thc_hardware.Trinc.ledger world)
-    ~durability:(fun () ->
-      Durability.merge (Array.to_list (Array.map Minbft.durability states)))
+  Cluster.make setup.protocol ~f:setup.f ~batch:setup.batch
+    ~checkpoint_interval:setup.checkpoint_interval ~clients:(n_clients setup)
+    ?restart ~spans
+    (Thc_util.Rng.create setup.seed)
 
-let with_pbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  (match setup.scenario with
-  | Restart_replica _ ->
-    invalid_arg "Harness: restart scenario is only wired for minbft"
-  | Fault_free | Crash_leader _ | Silent_replicas | Scripted _ -> ());
-  let config =
-    { (Pbft.default_config ~f:setup.f) with batch_size = max 1 setup.batch }
-  in
-  let n = config.n in
+(* The cluster's engine at the requested tracing level: replicas, the
+   setup's open-loop clients, its fault schedule and its network model. *)
+let engine (type m) ?(spans = Thc_obsv.Span.nop) setup (c : m Cluster.t)
+    ~tracing =
   let clients = n_clients setup in
-  let total = n + clients in
-  let rng = Thc_util.Rng.create setup.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:setup.delay in
   let engine =
-    Thc_sim.Engine.create ~seed:setup.seed ~tracing ~spans ~n:total ~net ()
+    Cluster.engine c ~seed:setup.seed ~tracing ~spans ~delay:setup.delay
+      ~clients:
+        (List.init clients (fun i ->
+             let pid = c.n + i in
+             wrap_net_client setup ~replicas:c.n ~clients ~c:i ~pid
+               (c.client ~rid_base:(i * setup.ops)
+                  ~ident:(Thc_crypto.Keyring.secret c.keyring ~pid)
+                  ~plan:(plan_for setup i))))
   in
-  let states =
-    Array.init n (fun self ->
-        Pbft.create_replica ~config ~keyring
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-          ~self)
-  in
-  Array.iteri
-    (fun pid st -> Thc_sim.Engine.set_behavior engine pid (Pbft.replica st))
-    states;
-  for c = 0 to clients - 1 do
-    let pid = n + c in
-    Thc_sim.Engine.set_behavior engine pid
-      (wrap_net_client setup ~replicas:n ~clients ~c ~pid
-         (Pbft.client ~rid_base:(c * setup.ops) ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-            ~plan:(plan_for setup c)))
-  done;
-  apply_scenario setup ~engine ~replicas:n;
-  install_network setup ~engine ~replicas:n;
-  k engine ~replicas:n
-    ~final_view:(fun () ->
-      Array.fold_left (fun acc st -> max acc (Pbft.view_of st)) 0 states)
-    ~classify:Pbft.classify_msg
-    (* PBFT spends no trusted ops; an empty ledger keeps the rate at 0. *)
-    ~hw:(Thc_obsv.Ledger.create ())
-    (* ... and has no attested checkpoints either. *)
-    ~durability:(fun () -> Durability.zero)
+  apply_scenario setup ~engine ~replicas:c.n;
+  install_network setup ~engine ~replicas:c.n;
+  engine
 
-let with_ubft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  (match setup.scenario with
-  | Restart_replica _ ->
-    invalid_arg "Harness: restart scenario is only wired for minbft"
-  | Fault_free | Crash_leader _ | Silent_replicas | Scripted _ -> ());
-  let config =
-    {
-      (Ubft.default_config ~f:setup.f) with
-      batch_size = max 1 setup.batch;
-      (* uBFT always checkpoints (register memory must stay bounded); a
-         positive setup interval overrides its default cadence. *)
-      checkpoint_interval =
-        (if setup.checkpoint_interval > 0 then setup.checkpoint_interval
-         else (Ubft.default_config ~f:setup.f).checkpoint_interval);
-    }
-  in
-  let n = config.n in
-  let clients = n_clients setup in
-  let total = n + clients in
-  let rng = Thc_util.Rng.create setup.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:setup.delay in
-  let engine =
-    Thc_sim.Engine.create ~seed:setup.seed ~tracing ~spans ~n:total ~net ()
-  in
-  (* uBFT's trusted hardware is the shared memory itself: one ledger
-     attached to every register counts reads/writes/appends (and denied
-     forgeries) the way the trinket ledger counts seals/verifies. *)
-  let registers : Ubft.registers = Thc_sharedmem.Swmr.log_array ~n in
-  let hw = Thc_obsv.Ledger.create () in
-  Thc_sharedmem.Swmr.attach_ledger_all registers hw;
-  if Thc_obsv.Span.enabled spans then
-    Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let states =
-    Array.init n (fun self ->
-        Ubft.create_replica ~config ~keyring ~registers
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-          ~self)
-  in
-  Array.iteri
-    (fun pid st -> Thc_sim.Engine.set_behavior engine pid (Ubft.replica st))
-    states;
-  for c = 0 to clients - 1 do
-    let pid = n + c in
-    Thc_sim.Engine.set_behavior engine pid
-      (wrap_net_client setup ~replicas:n ~clients ~c ~pid
-         (Ubft.client ~rid_base:(c * setup.ops) ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-            ~plan:(plan_for setup c)))
-  done;
-  apply_scenario setup ~engine ~replicas:n;
-  install_network setup ~engine ~replicas:n;
-  k engine ~replicas:n
-    ~final_view:(fun () ->
-      Array.fold_left (fun acc st -> max acc (Ubft.view_of st)) 0 states)
-    ~classify:Ubft.classify_msg ~hw
-    ~durability:(fun () ->
-      Durability.merge (Array.to_list (Array.map Ubft.durability states)))
+let full_run ?spans setup =
+  match cluster ?spans setup with
+  | Cluster.Packed c ->
+    let engine = engine ?spans setup c ~tracing:Thc_sim.Engine.Full in
+    let trace =
+      Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
+    in
+    let outcome =
+      finish setup ~trace ~replicas:c.n ~final_view:(c.final_view ())
+        ~classify:c.classify
+        ~net_stats:(Thc_sim.Engine.stats engine)
+        ~hw:c.hw
+        ~events:(Thc_sim.Engine.events_processed engine)
+        ~durability:(c.durability ())
+    in
+    (outcome, fun () -> export_of ~trace ~outcome)
 
-let full_run setup engine ~replicas ~final_view ~classify ~hw ~durability =
-  let trace =
-    Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
-  in
-  let outcome =
-    finish setup ~trace ~replicas ~final_view:(final_view ()) ~classify
-      ~net_stats:(Thc_sim.Engine.stats engine)
-      ~hw
-      ~events:(Thc_sim.Engine.events_processed engine)
-      ~durability:(durability ())
-  in
-  (outcome, fun () -> export_of ~trace ~outcome)
-
-let run_minbft setup =
-  with_minbft setup ~tracing:Thc_sim.Engine.Full (full_run setup)
-
-let run_pbft setup =
-  with_pbft setup ~tracing:Thc_sim.Engine.Full (full_run setup)
-
-let run_ubft setup =
-  with_ubft setup ~tracing:Thc_sim.Engine.Full (full_run setup)
-
-let run setup =
-  match setup.protocol with
-  | Minbft -> fst (run_minbft setup)
-  | Pbft -> fst (run_pbft setup)
-  | Ubft -> fst (run_ubft setup)
+let run setup = fst (full_run setup)
 
 let run_export setup =
-  let outcome, export =
-    match setup.protocol with
-    | Minbft -> run_minbft setup
-    | Pbft -> run_pbft setup
-    | Ubft -> run_ubft setup
-  in
+  let outcome, export = full_run setup in
   (outcome, export ())
 
 (* Span-collecting run: a full-fidelity run with a live recorder installed,
@@ -511,15 +356,7 @@ let run_export setup =
    RNG draws are byte-identical to [run] on the same setup. *)
 let run_spans setup =
   let spans = Thc_obsv.Span.create () in
-  let outcome =
-    match setup.protocol with
-    | Minbft ->
-      fst (with_minbft ~spans setup ~tracing:Thc_sim.Engine.Full (full_run setup))
-    | Pbft ->
-      fst (with_pbft ~spans setup ~tracing:Thc_sim.Engine.Full (full_run setup))
-    | Ubft ->
-      fst (with_ubft ~spans setup ~tracing:Thc_sim.Engine.Full (full_run setup))
-  in
+  let outcome = fst (full_run ~spans setup) in
   (outcome, Thc_obsv.Span.views spans, Thc_obsv.Span.ops_rows spans)
 
 type lite = {
@@ -535,30 +372,19 @@ type lite = {
    skips the full metric registry, so nearly all of the wall time is the
    simulation itself.  Used by the S4 engine-throughput benchmarks. *)
 let run_lite setup =
-  let lite : type m.
-      m Thc_sim.Engine.t ->
-      replicas:int ->
-      final_view:(unit -> int) ->
-      classify:(m -> string) ->
-      hw:Thc_obsv.Ledger.t ->
-      durability:(unit -> Durability.stats) ->
-      lite =
-   fun engine ~replicas ~final_view:_ ~classify:_ ~hw:_ ~durability:_ ->
+  match cluster setup with
+  | Cluster.Packed c ->
+    let engine = engine setup c ~tracing:Thc_sim.Engine.Outputs_only in
     let trace =
       Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
     in
     {
       l_completed = List.length (Smr_spec.client_latencies trace);
-      l_commits = Smr_spec.commits trace ~replicas;
+      l_commits = Smr_spec.commits trace ~replicas:c.n;
       l_messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine);
       l_events = Thc_sim.Engine.events_processed engine;
       l_duration_us = trace.Thc_sim.Trace.end_time;
     }
-  in
-  match setup.protocol with
-  | Minbft -> with_minbft setup ~tracing:Thc_sim.Engine.Outputs_only lite
-  | Pbft -> with_pbft setup ~tracing:Thc_sim.Engine.Outputs_only lite
-  | Ubft -> with_ubft setup ~tracing:Thc_sim.Engine.Outputs_only lite
 
 let pp_outcome ppf o =
   Format.fprintf ppf

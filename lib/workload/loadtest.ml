@@ -1,7 +1,5 @@
 module W = Workload
-module Minbft = Thc_replication.Minbft
-module Pbft = Thc_replication.Pbft
-module Ubft = Thc_replication.Ubft
+module Cluster = Thc_replication.Cluster
 module Smr_spec = Thc_replication.Smr_spec
 module J = Thc_obsv.Json
 
@@ -39,23 +37,17 @@ type result = {
   phase_p50_us : (string * float) list;
 }
 
-(* Same layout as Harness: replicas at pids 0..n-1, clients at n..; client c
-   owns the contiguous rid block starting at [c * requests_per_client]. *)
-let client_behaviors (type m) p ~n ~keyring
-    ~(open_client :
-       rid_base:int ->
-       ident:Thc_crypto.Keyring.secret ->
-       plan:(int64 * Thc_replication.Kv_store.op) list ->
-       m Thc_sim.Engine.behavior)
-    ~(wrap : Thc_replication.Command.signed_request -> m)
-    ~(unwrap : m -> Thc_replication.Command.reply option) =
-  List.init p.spec.W.clients (fun c ->
-      let pid = n + c in
-      let ident = Thc_crypto.Keyring.secret keyring ~pid in
-      let rid_base = c * p.spec.W.requests_per_client in
+(* Same layout as Harness: replicas at pids 0..n-1, clients at n..; client i
+   owns the contiguous rid block starting at [i * requests_per_client]. *)
+let client_behaviors (type m) p (c : m Cluster.t) =
+  let n = c.n in
+  List.init p.spec.W.clients (fun i ->
+      let pid = n + i in
+      let ident = Thc_crypto.Keyring.secret c.keyring ~pid in
+      let rid_base = i * p.spec.W.requests_per_client in
       let behavior =
-        match W.plan p.spec ~seed:p.seed ~client:c with
-        | Some plan -> open_client ~rid_base ~ident ~plan
+        match W.plan p.spec ~seed:p.seed ~client:i with
+        | Some plan -> c.client ~rid_base ~ident ~plan
         | None ->
           let window, think_us =
             match p.spec.W.arrival with
@@ -64,17 +56,14 @@ let client_behaviors (type m) p ~n ~keyring
           in
           Traffic.closed_loop ~rid_base ~n_replicas:n ~quorum:(p.f + 1) ~ident
             ~window ~think_us
-            ~ops:(W.ops p.spec ~seed:p.seed ~client:c)
-            ~wrap ~unwrap
+            ~ops:(W.ops p.spec ~seed:p.seed ~client:i)
+            ~wrap:c.wrap_request ~unwrap:c.unwrap_reply
       in
-      let behavior =
-        match p.network with
-        | None -> behavior
-        | Some m ->
-          Thc_network.Model.wrap_client m ~replicas:n ~f:p.f
-            ~clients:p.spec.W.clients ~client_index:c ~pid behavior
-      in
-      (pid, behavior))
+      match p.network with
+      | None -> behavior
+      | Some m ->
+        Thc_network.Model.wrap_client m ~replicas:n ~f:p.f
+          ~clients:p.spec.W.clients ~client_index:i ~pid behavior)
 
 (* Per-phase p50s from the run's span recorder: [(phase, µs)] in causal
    order, traversed phases only.  Plain data so results stay Marshal-safe
@@ -130,146 +119,37 @@ let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~hw ~phase_p50_us =
     phase_p50_us;
   }
 
-(* Each run_* returns the reduced result plus a thunk for the raw engine
-   trace as JSONL, so the sweep path never pays for serialisation and the
+(* Returns the reduced result plus a thunk for the raw engine trace as
+   JSONL, so the sweep path never pays for serialisation and the
    golden-trace corpus can still capture the loadtest driver byte-for-byte. *)
-let run_minbft p =
-  let config =
-    { (Minbft.default_config ~f:p.f) with batch_size = max 1 p.batch }
-  in
-  let n = config.n in
-  let total = n + p.spec.W.clients in
-  let rng = Thc_util.Rng.create p.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:p.delay in
+let run p =
+  W.validate p.spec;
   let spans = Thc_obsv.Span.create () in
-  Thc_obsv.Ledger.set_observer
-    (Thc_hardware.Trinc.ledger world)
-    (Thc_obsv.Span.attribute spans);
-  let engine = Thc_sim.Engine.create ~seed:p.seed ~spans ~n:total ~net () in
-  for self = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine self
-      (Minbft.replica
-         (Minbft.create_replica ~config ~keyring ~world
-            ~trinket:(Thc_hardware.Trinc.trinket world ~owner:self)
-            ~self))
-  done;
-  List.iter
-    (fun (pid, b) -> Thc_sim.Engine.set_behavior engine pid b)
-    (client_behaviors p ~n ~keyring
-       ~open_client:(fun ~rid_base ~ident ~plan ->
-         Minbft.client ~rid_base ~config ~keyring ~ident ~plan)
-       ~wrap:Minbft.wrap_request ~unwrap:Minbft.unwrap_reply);
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ())
-    p.network;
-  let trace =
-    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
-      engine
-  in
-  ( finish p ~trace ~replicas:n
-      ~hw:(Thc_hardware.Trinc.ledger world)
-      ~phase_p50_us:(phase_p50s spans),
-    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
-
-let run_pbft p =
-  let config =
-    { (Pbft.default_config ~f:p.f) with batch_size = max 1 p.batch }
-  in
-  let n = config.n in
-  let total = n + p.spec.W.clients in
-  let rng = Thc_util.Rng.create p.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:p.delay in
-  let spans = Thc_obsv.Span.create () in
-  let engine = Thc_sim.Engine.create ~seed:p.seed ~spans ~n:total ~net () in
-  for self = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine self
-      (Pbft.replica
-         (Pbft.create_replica ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-            ~self))
-  done;
-  List.iter
-    (fun (pid, b) -> Thc_sim.Engine.set_behavior engine pid b)
-    (client_behaviors p ~n ~keyring
-       ~open_client:(fun ~rid_base ~ident ~plan ->
-         Pbft.client ~rid_base ~config ~keyring ~ident ~plan)
-       ~wrap:Pbft.wrap_request ~unwrap:Pbft.unwrap_reply);
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ())
-    p.network;
-  let trace =
-    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
-      engine
-  in
-  (* PBFT spends no trusted ops; an empty ledger keeps its rates at 0. *)
-  ( finish p ~trace ~replicas:n
-      ~hw:(Thc_obsv.Ledger.create ())
-      ~phase_p50_us:(phase_p50s spans),
-    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
-
-(* uBFT's trusted hardware is the register array itself: a fresh ledger
-   attached to every register plays the role the trinket ledger plays in
-   the MinBFT runs, so trusted_per_request counts register ops. *)
-let run_ubft p =
-  let config =
-    { (Ubft.default_config ~f:p.f) with batch_size = max 1 p.batch }
-  in
-  let n = config.n in
-  let total = n + p.spec.W.clients in
-  let rng = Thc_util.Rng.create p.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:p.delay in
-  let spans = Thc_obsv.Span.create () in
-  let registers : Ubft.registers = Thc_sharedmem.Swmr.log_array ~n in
-  let hw = Thc_obsv.Ledger.create () in
-  Thc_sharedmem.Swmr.attach_ledger_all registers hw;
-  Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let engine = Thc_sim.Engine.create ~seed:p.seed ~spans ~n:total ~net () in
-  for self = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine self
-      (Ubft.replica
-         (Ubft.create_replica ~config ~keyring ~registers
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-            ~self))
-  done;
-  List.iter
-    (fun (pid, b) -> Thc_sim.Engine.set_behavior engine pid b)
-    (client_behaviors p ~n ~keyring
-       ~open_client:(fun ~rid_base ~ident ~plan ->
-         Ubft.client ~rid_base ~config ~keyring ~ident ~plan)
-       ~wrap:Ubft.wrap_request ~unwrap:Ubft.unwrap_reply);
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ())
-    p.network;
-  let trace =
-    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
-      engine
-  in
-  ( finish p ~trace ~replicas:n ~hw ~phase_p50_us:(phase_p50s spans),
-    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
+  match
+    Cluster.make p.protocol ~f:p.f ~batch:p.batch ~checkpoint_interval:0
+      ~clients:p.spec.W.clients ~spans
+      (Thc_util.Rng.create p.seed)
+  with
+  | Cluster.Packed c ->
+    let engine =
+      Cluster.engine c ~seed:p.seed ~tracing:Thc_sim.Engine.Full ~spans
+        ~delay:p.delay ~clients:(client_behaviors p c)
+    in
+    Option.iter
+      (fun m -> Thc_network.Model.install m engine ~replicas:c.n ())
+      p.network;
+    let trace =
+      Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
+        engine
+    in
+    ( finish p ~trace ~replicas:c.n ~hw:c.hw ~phase_p50_us:(phase_p50s spans),
+      fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
 
 let run_point_export p =
-  W.validate p.spec;
-  let result, export =
-    match p.protocol with
-    | Minbft -> run_minbft p
-    | Pbft -> run_pbft p
-    | Ubft -> run_ubft p
-  in
+  let result, export = run p in
   (result, export ())
 
-let run_point p =
-  W.validate p.spec;
-  let result, _ =
-    match p.protocol with
-    | Minbft -> run_minbft p
-    | Pbft -> run_pbft p
-    | Ubft -> run_ubft p
-  in
-  result
+let run_point p = fst (run p)
 
 let runner p ~arrivals ~batches =
   {

@@ -1089,6 +1089,39 @@ let prop_reductions_match_reference =
       && Thc_sim.Trace.correct_pids trace
          = List.filter (Reference.correct trace) (List.init 6 Fun.id))
 
+(* --- throughput mode ------------------------------------------------------------------- *)
+
+(* [run_lite] promises [run]'s schedule with a thinner trace: every count
+   both report must agree, for every protocol. *)
+let test_lite_agrees_with_run () =
+  let module H = Thc_replication.Harness in
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun (name, clients, batch, scenario) ->
+          let setup =
+            H.Setup.make ~protocol ~f:1 ~ops:20 ~clients ~batch ~scenario
+              ~seed:5L ()
+          in
+          let o = H.run setup and l = H.run_lite setup in
+          let label what =
+            Printf.sprintf "%s %s %s"
+              (Thc_replication.Protocol.to_string protocol)
+              name what
+          in
+          Alcotest.(check int) (label "completed") o.completed l.l_completed;
+          Alcotest.(check int) (label "commits") o.commits l.l_commits;
+          Alcotest.(check int) (label "messages") o.messages l.l_messages;
+          Alcotest.(check int) (label "events") o.events l.l_events;
+          Alcotest.(check int64) (label "duration") o.duration_us
+            l.l_duration_us)
+        [
+          ("1x1", 1, 1, H.Fault_free);
+          ("4x4", 4, 4, H.Fault_free);
+          ("crash", 2, 1, H.Crash_leader 35_000L);
+        ])
+    Thc_replication.Protocol.all
+
 let () =
   Alcotest.run "thc_replication"
     [
@@ -1176,5 +1209,10 @@ let () =
           Alcotest.test_case "crashed set survives rebuilds" `Quick
             test_crashed_survives_rebuilds;
           qcheck prop_reductions_match_reference;
+        ] );
+      ( "run-lite",
+        [
+          Alcotest.test_case "agrees with run" `Quick
+            test_lite_agrees_with_run;
         ] );
     ]
