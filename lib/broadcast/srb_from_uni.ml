@@ -146,7 +146,10 @@ let absorb_item t (it : item) =
   | Val v -> witness_val t v
   | Copy c ->
     if copy_ok t c then begin
+      (* Adopt before matching: the sender's own payload is [Val v; Copy c],
+         and a receiver that learns [v] from it must keep that copy. *)
       witness_val t c.cv;
+      refresh t;
       if matches_mine t ~k:c.cv.k ~value:c.cv.value then
         if not (Hashtbl.mem t.copies c.by.signer) then
           Hashtbl.replace t.copies c.by.signer c
@@ -154,6 +157,7 @@ let absorb_item t (it : item) =
   | L1 p ->
     if l1_ok t p then begin
       List.iter (fun (c : copy_msg) -> witness_val t c.cv) p.copies;
+      refresh t;
       if matches_mine t ~k:p.l1k ~value:p.l1value then
         if not (Hashtbl.mem t.l1s p.l1by.signer) then
           Hashtbl.replace t.l1s p.l1by.signer p

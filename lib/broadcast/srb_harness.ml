@@ -55,7 +55,10 @@ let run_trinc ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 4) ?(values =
   let until = Int64.add script.horizon 2_000_000L in
   finish (Thc_sim.Engine.run ~until ~max_events:10_000_000 engine)
 
-let run_uni ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 5) ?(faults = 2) ?(values = 2) () =
+type stop = { reason : [ `Quiescent | `Horizon ]; events : int }
+
+let run_uni_stop ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 5) ?(faults = 2)
+    ?(values = 2) () =
   let keyring = Thc_crypto.Keyring.create (Thc_util.Rng.create seed) ~n in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
@@ -80,4 +83,12 @@ let run_uni ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 5) ?(faults = 2
     (fun m -> Thc_network.Model.install m engine ~replicas:n ~script ())
     network;
   let until = max 600_000L (Int64.add script.horizon 300_000L) in
-  finish (Thc_sim.Engine.run ~until ~max_events:10_000_000 engine)
+  let report = finish (Thc_sim.Engine.run ~until ~max_events:10_000_000 engine) in
+  ( report,
+    {
+      reason = Thc_sim.Engine.stop_reason engine;
+      events = Thc_sim.Engine.events_processed engine;
+    } )
+
+let run_uni ?network ~seed ~script ?n ?faults ?values () =
+  fst (run_uni_stop ?network ~seed ~script ?n ?faults ?values ())

@@ -35,3 +35,18 @@ val run_uni :
     [faults] = 2 by default.  Register operations bypass the message
     network, so only the script's crashes bite — which is itself a property
     worth sweeping: shared-memory rounds shrug off any partition script. *)
+
+type stop = {
+  reason : [ `Quiescent | `Horizon ];  (** {!Thc_sim.Engine.stop_reason}. *)
+  events : int;  (** {!Thc_sim.Engine.events_processed}. *)
+}
+(** Why a run ended and what it cost the engine. *)
+
+val run_uni_stop :
+  ?network:Thc_network.Model.t ->
+  seed:int64 -> script:Thc_sim.Adversary.t -> ?n:int -> ?faults:int -> ?values:int ->
+  unit -> report * stop
+(** {!run_uni}, also saying why the engine stopped.  Register rounds park
+    idle readers, so a run ends [`Quiescent] once every process has
+    delivered (or stalled) and the script's last event has fired; the
+    [`Horizon] safety net is past the script's horizon. *)

@@ -179,6 +179,12 @@ let srb_from_uni =
             if violations <> [] || not complete then begin
               ok := false;
               detail := Printf.sprintf "seed %Ld failed" seed
+            end
+            else if Thc_sim.Engine.stop_reason engine <> `Quiescent then begin
+              (* Idle register readers park, so a finished run goes quiet
+                 long before the horizon; reaching it means they polled. *)
+              ok := false;
+              detail := Printf.sprintf "seed %Ld ran to the horizon" seed
             end)
           seeds;
         ((!ok), if !ok then "all four SRB properties hold, 3 msgs delivered" else !detail))

@@ -1,4 +1,4 @@
-let behavior ~space ~n ~ident ?scan_delay ?poll_delay app =
+let behavior ~space ~n ~ident ?scan_delay app =
   let self = Thc_crypto.Keyring.pid_of_secret ident in
   let board =
     {
@@ -17,6 +17,7 @@ let behavior ~space ~n ~ident ?scan_delay ?poll_delay app =
               | _ -> None)
             (Thc_sharedmem.Peats.rd_all space ~ident pattern));
       targets = n;
+      watch = Thc_sharedmem.Peats.on_change space;
     }
   in
-  Scan_rounds.behavior ~board ?scan_delay ?poll_delay app
+  Scan_rounds.behavior ~board ?scan_delay app

@@ -13,9 +13,11 @@ val behavior :
   n:int ->
   ident:Thc_crypto.Keyring.secret ->
   ?scan_delay:Thc_sim.Delay.t ->
-  ?poll_delay:Thc_sim.Delay.t ->
   Round_app.app ->
   'm Thc_sim.Engine.behavior
 (** [space] should be created with {!Thc_sharedmem.Peats.owned_field_policy}
     (or any policy at least as permissive for reads and at most one owner
-    per first field for writes). *)
+    per first field for writes).  [scan_delay] as in
+    {!Swmr_rounds.behavior}.  A holding process parks until the next
+    [out] or [inp] on [space] and re-sweeps then ({!Scan_rounds}'
+    park/wake rule). *)

@@ -2,22 +2,24 @@ type board = {
   publish : round:int -> payload:string -> unit;
   read : int -> (int * int * string) list;
   targets : int;
+  watch : (unit -> unit) -> unit;
 }
 
 let read_tag = 0
 
-let poll_tag = 1
+let wake_tag = 1
 
 type state = {
   board : board;
   scan_delay : Thc_sim.Delay.t;
-  poll_delay : Thc_sim.Delay.t;
   app : Round_app.app;
   mutable round : int;
   mutable scan_queue : int list;
   delivered : (int * int * string, unit) Hashtbl.t;
   received_in : (int * int, unit) Hashtbl.t;
   mutable stopped : bool;
+  mutable changed : bool;  (* a board object changed since this sweep began *)
+  mutable parked : bool;  (* holding with no timer armed *)
 }
 
 let handle_of st (ctx : 'm Thc_sim.Engine.ctx) : Round_app.handle =
@@ -43,6 +45,7 @@ let flush_early st ctx =
     st.delivered
 
 let start_sweep st (ctx : 'm Thc_sim.Engine.ctx) =
+  st.changed <- false;
   let order = Array.init st.board.targets (fun i -> i) in
   Thc_util.Rng.shuffle ctx.rng order;
   st.scan_queue <- Array.to_list order;
@@ -57,14 +60,16 @@ let start_round st (ctx : 'm Thc_sim.Engine.ctx) payload =
   flush_early st ctx;
   start_sweep st ctx
 
+(* A sweep with no write since the previous one would read exactly what
+   that one read, so a holding process re-sweeps only if something changed
+   meanwhile, and otherwise parks until the board's next change. *)
 let rec check st (ctx : 'm Thc_sim.Engine.ctx) =
   match st.app.Round_app.on_round_check (handle_of st ctx) ~round:st.round with
   | Round_app.Advance payload ->
     ctx.output (Thc_sim.Obs.Round_ended { round = st.round });
     st.round <- st.round + 1;
     start_round st ctx payload
-  | Round_app.Hold ->
-    ctx.set_timer ~delay:(Thc_sim.Delay.sample ctx.rng st.poll_delay) ~tag:poll_tag
+  | Round_app.Hold -> if st.changed then start_sweep st ctx else st.parked <- true
   | Round_app.Stop ->
     ctx.output (Thc_sim.Obs.Round_ended { round = st.round });
     st.stopped <- true
@@ -89,24 +94,35 @@ and read_next st (ctx : 'm Thc_sim.Engine.ctx) =
         ~delay:(Thc_sim.Delay.sample ctx.rng st.scan_delay)
         ~tag:read_tag
 
-let behavior ~board ?(scan_delay = Thc_sim.Delay.Uniform (1L, 100L))
-    ?(poll_delay = Thc_sim.Delay.Const 50L) app : 'm Thc_sim.Engine.behavior =
+(* Runs inside whichever step changed the board.  The woken process sweeps
+   from its own timer handler, so its RNG draws stay in its own steps. *)
+let on_change st (ctx : 'm Thc_sim.Engine.ctx) =
+  if st.parked then begin
+    st.parked <- false;
+    ctx.set_timer ~delay:0L ~tag:wake_tag
+  end
+  else st.changed <- true
+
+let behavior ~board ?(scan_delay = Thc_sim.Delay.Uniform (1L, 100L)) app :
+    'm Thc_sim.Engine.behavior =
   let st =
     {
       board;
       scan_delay;
-      poll_delay;
       app;
       round = 1;
       scan_queue = [];
       delivered = Hashtbl.create 64;
       received_in = Hashtbl.create 64;
       stopped = false;
+      changed = false;
+      parked = false;
     }
   in
   {
     init =
       (fun ctx ->
+        board.watch (fun () -> on_change st ctx);
         let payload = app.Round_app.first_payload (handle_of st ctx) in
         start_round st ctx payload);
     on_message = (fun _ ~src:_ _ -> ());
@@ -114,5 +130,5 @@ let behavior ~board ?(scan_delay = Thc_sim.Delay.Uniform (1L, 100L))
       (fun ctx tag ->
         if not st.stopped then
           if tag = read_tag then read_next st ctx
-          else if tag = poll_tag then start_sweep st ctx);
+          else if tag = wake_tag then start_sweep st ctx);
   }

@@ -2,9 +2,11 @@ type board = {
   n : int;
   cells : (int * int, string Thc_sharedmem.Sticky.t) Hashtbl.t;
   mutable max_round : int;  (* highest round any process has published *)
+  mutable watchers : (unit -> unit) list;  (* registration order *)
 }
 
-let create_board ~n = { n; cells = Hashtbl.create 64; max_round = 1 }
+let create_board ~n =
+  { n; cells = Hashtbl.create 64; max_round = 1; watchers = [] }
 
 let cell board ~owner ~round =
   match Hashtbl.find_opt board.cells (owner, round) with
@@ -13,10 +15,13 @@ let cell board ~owner ~round =
     let c =
       Thc_sharedmem.Sticky.create ~write_acl:(Thc_sharedmem.Acl.only owner) ()
     in
+    (* Cells appear lazily, so each forwards to the board-level list. *)
+    Thc_sharedmem.Sticky.on_change c (fun () ->
+        List.iter (fun f -> f ()) board.watchers);
     Hashtbl.add board.cells (owner, round) c;
     c
 
-let behavior ~board ~ident ?scan_delay ?poll_delay app =
+let behavior ~board ~ident ?scan_delay app =
   let self = Thc_crypto.Keyring.pid_of_secret ident in
   let scan_board =
     {
@@ -42,6 +47,7 @@ let behavior ~board ~ident ?scan_delay ?poll_delay app =
           done;
           !entries);
       targets = board.n;
+      watch = (fun f -> board.watchers <- board.watchers @ [ f ]);
     }
   in
-  Scan_rounds.behavior ~board:scan_board ?scan_delay ?poll_delay app
+  Scan_rounds.behavior ~board:scan_board ?scan_delay app

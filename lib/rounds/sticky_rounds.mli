@@ -16,12 +16,15 @@ val create_board : n:int -> board
 val cell :
   board -> owner:int -> round:int -> string Thc_sharedmem.Sticky.t
 (** Direct access for tests and Byzantine behaviors (the ACL still only
-    lets [owner] write). *)
+    lets [owner] write).  A [set] through it wakes parked readers like a
+    published round message does. *)
 
 val behavior :
   board:board ->
   ident:Thc_crypto.Keyring.secret ->
   ?scan_delay:Thc_sim.Delay.t ->
-  ?poll_delay:Thc_sim.Delay.t ->
   Round_app.app ->
   'm Thc_sim.Engine.behavior
+(** [scan_delay] as in {!Swmr_rounds.behavior}.  A holding process parks
+    until some cell of [board] is set — by anyone, including through
+    {!cell} — and re-sweeps then ({!Scan_rounds}' park/wake rule). *)

@@ -1,4 +1,4 @@
-let behavior ~registers ~ident ?scan_delay ?poll_delay app =
+let behavior ~registers ~ident ?scan_delay app =
   let board =
     {
       Scan_rounds.publish =
@@ -11,6 +11,8 @@ let behavior ~registers ~ident ?scan_delay ?poll_delay app =
             (fun (round, payload) -> (j, round, payload))
             (Thc_sharedmem.Swmr.entries registers.(j)));
       targets = Array.length registers;
+      watch =
+        (fun f -> Array.iter (fun r -> Thc_sharedmem.Swmr.on_change r f) registers);
     }
   in
-  Scan_rounds.behavior ~board ?scan_delay ?poll_delay app
+  Scan_rounds.behavior ~board ?scan_delay app

@@ -26,12 +26,14 @@ val behavior :
   registers:(int * string) Thc_sharedmem.Swmr.log array ->
   ident:Thc_crypto.Keyring.secret ->
   ?scan_delay:Thc_sim.Delay.t ->
-  ?poll_delay:Thc_sim.Delay.t ->
   Round_app.app ->
   'm Thc_sim.Engine.behavior
 (** A process running rounds over the shared [registers] array (entry [i]
     owned by process [i]); [ident] must belong to the process the behavior
     is installed at.  [scan_delay] is the simulated duration of one register
-    read (default uniform 1–100 µs); [poll_delay] the pause between sweeps
-    while the app [Hold]s (default constant 50 µs).  The behavior sends no
-    network messages, so it works under any engine message type. *)
+    read (default uniform 1–100 µs).  While the app [Hold]s the process
+    does not poll: it re-sweeps only after some register changed, and
+    otherwise parks until the next write or append to any register of
+    [registers] — including a Byzantine owner's direct append — wakes it
+    ({!Scan_rounds}' park/wake rule).  The behavior sends no network
+    messages, so it works under any engine message type. *)

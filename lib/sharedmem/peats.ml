@@ -6,9 +6,17 @@ type op_view = Out of tuple | Rd of pattern | Inp of pattern
 
 type policy = pid:int -> op:op_view -> space:tuple list -> bool
 
-type t = { policy : policy; mutable tuples : tuple list (* newest first *) }
+type t = {
+  policy : policy;
+  mutable tuples : tuple list;  (* newest first *)
+  mutable watchers : (unit -> unit) list;  (* registration order *)
+}
 
-let create ~policy = { policy; tuples = [] }
+let create ~policy = { policy; tuples = []; watchers = [] }
+
+let on_change t f = t.watchers <- t.watchers @ [ f ]
+
+let notify t = List.iter (fun f -> f ()) t.watchers
 
 let matches pattern tuple =
   Array.length pattern = Array.length tuple
@@ -26,7 +34,8 @@ let enforce t ~ident ~op =
 
 let out t ~ident tuple =
   let _pid = enforce t ~ident ~op:(Out tuple) in
-  t.tuples <- tuple :: t.tuples
+  t.tuples <- tuple :: t.tuples;
+  notify t
 
 let oldest_match t pattern =
   let rec last acc = function
@@ -59,6 +68,7 @@ let inp t ~ident pattern =
              end
              else true)
            (List.rev t.tuples));
+    notify t;
     Some found
 
 let size t = List.length t.tuples

@@ -33,6 +33,11 @@ type t
 
 val create : policy:policy -> t
 
+val on_change : t -> (unit -> unit) -> unit
+(** Register a watcher, called (in registration order, inside the
+    caller's step) after every successful [out] and every [inp] that
+    removes a tuple. *)
+
 val matches : pattern -> tuple -> bool
 
 val out : t -> ident:Thc_crypto.Keyring.secret -> tuple -> unit

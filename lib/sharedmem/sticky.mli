@@ -16,6 +16,11 @@ val set : 'a t -> ident:Thc_crypto.Keyring.secret -> 'a -> [ `Set | `Already ]
 (** First-write-wins.  [`Already] if some value is already stuck (the write
     is ignored).  @raise Acl.Violation if the ACL denies the caller. *)
 
+val on_change : 'a t -> (unit -> unit) -> unit
+(** Register a watcher, called (in registration order, inside the
+    writer's step) when a [set] returns [`Set] — the one change a sticky
+    register ever undergoes. *)
+
 val get : 'a t -> 'a option
 (** Readable by everyone. *)
 

@@ -4,16 +4,21 @@ type 'a t = {
   mutable value : 'a;
   mutable writes : int;
   mutable hw : Thc_obsv.Ledger.t option;
+  mutable watchers : (unit -> unit) list;  (* registration order *)
 }
 
 let create ~owner ~init =
-  { owner; acl = Acl.only owner; value = init; writes = 0; hw = None }
+  { owner; acl = Acl.only owner; value = init; writes = 0; hw = None; watchers = [] }
 
 let owner t = t.owner
 
 let attach_ledger t ledger = t.hw <- Some ledger
 
 let attach_ledger_all a ledger = Array.iter (fun t -> attach_ledger t ledger) a
+
+let on_change t f = t.watchers <- t.watchers @ [ f ]
+
+let notify t = List.iter (fun f -> f ()) t.watchers
 
 let charge t label =
   match t.hw with None -> () | Some hw -> Thc_obsv.Ledger.bump hw label
@@ -32,7 +37,8 @@ let write t ~ident v =
   enforce t ~ident ~op:"write";
   charge t "swmr.write";
   t.value <- v;
-  t.writes <- t.writes + 1
+  t.writes <- t.writes + 1;
+  notify t
 
 let write_count t = t.writes
 
@@ -44,7 +50,8 @@ let append t ~ident v =
   enforce t ~ident ~op:"append";
   charge t "swmr.append";
   t.value <- v :: t.value;
-  t.writes <- t.writes + 1
+  t.writes <- t.writes + 1;
+  notify t
 
 let entries t = List.rev (read t)
 

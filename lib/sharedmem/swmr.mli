@@ -34,6 +34,14 @@ val attach_ledger : 'a t -> Thc_obsv.Ledger.t -> unit
 val attach_ledger_all : 'a t array -> Thc_obsv.Ledger.t -> unit
 (** {!attach_ledger} over a whole {!array} / {!log_array}. *)
 
+val on_change : 'a t -> (unit -> unit) -> unit
+(** Register a watcher, called after every successful [write] or
+    [append] (denied ones change nothing and call nothing).  Watchers run
+    in registration order, inside the writer's step, whoever the writer is
+    — a protocol's own [publish] or a Byzantine owner appending directly.
+    Round drivers use this to park readers until a register changes
+    ({!Thc_rounds.Scan_rounds}). *)
+
 val read : 'a t -> 'a
 (** Readable by everyone (no identity needed — reads are unrestricted in the
     paper's setting). *)

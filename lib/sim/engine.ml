@@ -81,6 +81,7 @@ type 'm t = {
   mutable free : 'm ev array;
   mutable nfree : int;
   mutable events : int;
+  mutable stop : [ `Quiescent | `Horizon ] option;  (* set when [run] returns *)
 }
 
 let fresh_ev () =
@@ -127,6 +128,7 @@ let create ?(seed = 1L) ?(tracing = Full) ?(recycle = true)
     free = [||];
     nfree = 0;
     events = 0;
+    stop = None;
   }
 
 let net t = t.net
@@ -134,6 +136,11 @@ let net t = t.net
 let stats t = t.stats
 
 let events_processed t = t.events
+
+let stop_reason t =
+  match t.stop with
+  | Some reason -> reason
+  | None -> invalid_arg "Engine.stop_reason: the run has not returned"
 
 (* ---------- event arena ---------- *)
 
@@ -383,12 +390,16 @@ let run ?(max_events = 2_000_000) ?until t =
   let continue = ref true in
   while !continue do
     match Thc_util.Calendar_queue.pop t.q with
-    | None -> continue := false
+    | None ->
+      t.stop <- Some `Quiescent;
+      continue := false
     | Some (time, _, ev) ->
-      if time > until_i then
+      if time > until_i then begin
         (* Engines are single-shot: events past [until] stay
            unprocessed, and the popped one is simply not dispatched. *)
+        t.stop <- Some `Horizon;
         continue := false
+      end
       else begin
         t.clock_i <- time;
         t.clock <- Int64.of_int time;

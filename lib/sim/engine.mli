@@ -125,6 +125,12 @@ val events_processed : 'm t -> int
     events/sec throughput metric.  Counts every popped event (including
     deliveries to crashed processes), not trace entries. *)
 
+val stop_reason : 'm t -> [ `Quiescent | `Horizon ]
+(** Why {!run} returned: [`Quiescent] when the event queue ran dry (every
+    process was idle and nothing was scheduled), [`Horizon] when the next
+    event lay past [until].  Exceeding [max_events] raises instead.
+    @raise Invalid_argument before {!run} has returned. *)
+
 val run : ?max_events:int -> ?until:int64 -> 'm t -> 'm Trace.t
 (** Process events in time order until quiescence, [until] (events after it
     stay unprocessed), or [max_events] (default 2_000_000; exceeding it

@@ -302,14 +302,23 @@ let run_srb_from_uni ~seed ~values ~configure_byz =
            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
            (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
   done;
-  (Thc_sim.Engine.run ~until:2_000_000L ~max_events:10_000_000 engine, srbs)
+  let trace = Thc_sim.Engine.run ~until:2_000_000L ~max_events:10_000_000 engine in
+  (trace, srbs, Thc_sim.Engine.stop_reason engine)
+
+let stop_reason =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with `Quiescent -> "quiescent" | `Horizon -> "horizon"))
+    ( = )
 
 let no_byz ~keyring:_ ~registers:_ ~engine:_ = []
 
 let test_srb_uni_happy_path () =
-  let trace, srbs =
+  let trace, srbs, stop =
     run_srb_from_uni ~seed:61L ~values:[ "a"; "b"; "c" ] ~configure_byz:no_byz
   in
+  Alcotest.check stop_reason "idle readers park: the run goes quiet" `Quiescent stop;
   Alcotest.(check int) "spec clean" 0
     (List.length (Thc_broadcast.Srb_spec.check trace ~sender:0));
   Alcotest.(check (list (pair int string))) "delivered in order at p3"
@@ -319,7 +328,7 @@ let test_srb_uni_happy_path () =
     (List.length (Thc_rounds.Directionality.check_unidirectional trace))
 
 let test_srb_uni_no_sender () =
-  let trace, _ =
+  let trace, _, _ =
     run_srb_from_uni ~seed:62L ~values:[] ~configure_byz:no_byz
   in
   Alcotest.(check int) "nothing delivered, nothing violated" 0
@@ -348,7 +357,7 @@ let equivocating_sender ~keyring ~registers ~engine =
   [ 0 ]
 
 let test_srb_uni_equivocation_safe () =
-  let trace, srbs =
+  let trace, srbs, _ =
     run_srb_from_uni ~seed:63L ~values:[] ~configure_byz:equivocating_sender
   in
   (* Safety: no two correct processes deliver different values; in fact with
@@ -366,24 +375,91 @@ let test_srb_uni_equivocation_safe () =
   Alcotest.(check bool) "at most one value delivered" true
     (List.length distinct_values <= 1)
 
+let test_srb_uni_sender_copy_kept () =
+  (* Regression: a receiver that learns the value from the sender's own
+     round payload [Val v; Copy c] must keep the sender's copy, not drop it
+     for not matching a value it had yet to adopt.  At n = 3, t = 1 the
+     copy round needs t+1 = 2 copies: p1's own and the sender's. *)
+  let n = 3 in
+  let keyring = keyring ~n ~seed:67L () in
+  let srb =
+    Thc_broadcast.Srb_from_uni.create ~keyring
+      ~ident:(Thc_crypto.Keyring.secret keyring ~pid:1)
+      ~sender:0 ~faults:1
+  in
+  let app = Thc_broadcast.Srb_from_uni.app srb in
+  let round = ref 1 in
+  let h : Thc_rounds.Round_app.handle =
+    {
+      self = 1;
+      n;
+      round = (fun () -> !round);
+      output = (fun _ -> ());
+      now = (fun () -> 0L);
+      rng = Thc_util.Rng.create 1L;
+    }
+  in
+  let verdict = function
+    | Thc_rounds.Round_app.Advance (Some _) -> "advance"
+    | Advance None -> "advance silently"
+    | Hold -> "hold"
+    | Stop -> "stop"
+  in
+  Alcotest.(check string) "no value yet" "hold"
+    (verdict (app.on_round_check h ~round:1));
+  let sender_payload, _ =
+    Thc_broadcast.Srb_from_uni.equivocation_payloads
+      ~ident:(Thc_crypto.Keyring.secret keyring ~pid:0)
+      ~k:1 "v" "w"
+  in
+  app.on_receive h ~round:2 ~from:0 sender_payload;
+  Alcotest.(check string) "value adopted: send own copy" "advance"
+    (verdict (app.on_round_check h ~round:1));
+  round := 2;
+  Alcotest.(check string) "own copy plus the sender's: send L1" "advance"
+    (verdict (app.on_round_check h ~round:2))
+
+let test_srb_uni_harness_quiescent () =
+  (* The corpus's srb-uni-crashes script with the benchmark's 3 values:
+     readers park once everyone has delivered, so the run ends at the last
+     scripted event, not at the 600 ms horizon.  Polling idle registers
+     cost ~37k events here. *)
+  let script =
+    {
+      Thc_sim.Adversary.horizon = 100_000L;
+      events =
+        [
+          { at = 20_000L; action = Crash 1 };
+          { at = 45_000L; action = Crash 4 };
+        ];
+    }
+  in
+  let report, stop =
+    Thc_broadcast.Srb_harness.run_uni_stop ~seed:11L ~script ~values:3 ()
+  in
+  Alcotest.(check int) "spec clean" 0 (List.length report.violations);
+  Alcotest.(check int) "3 values at 3 correct processes" 9 report.delivered;
+  Alcotest.check stop_reason "ends quiescent" `Quiescent stop.reason;
+  if stop.events >= 1_000 then
+    Alcotest.failf "%d engine events; an idle-free run takes under 1000" stop.events
+
 let prop_srb_uni_schedules =
   QCheck.Test.make ~name:"Algorithm 1 satisfies SRB across schedules" ~count:10
     QCheck.int64
     (fun seed ->
-      let trace, _ =
+      let trace, _, _ =
         run_srb_from_uni ~seed ~values:[ "x"; "y" ] ~configure_byz:no_byz
       in
       Thc_broadcast.Srb_spec.check trace ~sender:0 = []
       && List.length (Thc_broadcast.Srb_spec.deliveries trace ~sender:0 ~pid:2) = 2)
 
-let test_srb_uni_over_sticky_driver () =
-  (* Algorithm 1 is driver-generic: same app over sticky-bit rounds. *)
+(* Algorithm 1 is driver-generic: the same app over another shared-memory
+   board.  [driver ~keyring ~pid app] builds process [pid]'s behavior. *)
+let run_srb_uni_over ~seed ~driver =
   let n = 5 and faults = 2 in
-  let seed = 64L in
   let keyring = keyring ~n ~seed () in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-  let board = Thc_rounds.Sticky_rounds.create_board ~n in
   let srbs =
     Array.init n (fun pid ->
         Thc_broadcast.Srb_from_uni.create ~keyring
@@ -393,15 +469,40 @@ let test_srb_uni_over_sticky_driver () =
   List.iter (Thc_broadcast.Srb_from_uni.broadcast srbs.(0)) [ "x"; "y" ];
   for pid = 0 to n - 1 do
     Thc_sim.Engine.set_behavior engine pid
-      (Thc_rounds.Sticky_rounds.behavior ~board
-         ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-         (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
+      (driver ~keyring ~pid (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
   done;
   let trace = Thc_sim.Engine.run ~until:2_000_000L ~max_events:10_000_000 engine in
+  (trace, Thc_sim.Engine.stop_reason engine)
+
+let test_srb_uni_over_sticky_driver () =
+  let board = Thc_rounds.Sticky_rounds.create_board ~n:5 in
+  let trace, stop =
+    run_srb_uni_over ~seed:64L ~driver:(fun ~keyring ~pid app ->
+        Thc_rounds.Sticky_rounds.behavior ~board
+          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+          app)
+  in
   Alcotest.(check int) "spec clean over sticky rounds" 0
     (List.length (Thc_broadcast.Srb_spec.check trace ~sender:0));
   Alcotest.(check int) "both delivered at p4" 2
-    (List.length (Thc_broadcast.Srb_spec.deliveries trace ~sender:0 ~pid:4))
+    (List.length (Thc_broadcast.Srb_spec.deliveries trace ~sender:0 ~pid:4));
+  Alcotest.check stop_reason "sticky readers park" `Quiescent stop
+
+let test_srb_uni_over_peats_driver () =
+  let space =
+    Thc_sharedmem.Peats.create ~policy:Thc_sharedmem.Peats.owned_field_policy
+  in
+  let trace, stop =
+    run_srb_uni_over ~seed:66L ~driver:(fun ~keyring ~pid app ->
+        Thc_rounds.Peats_rounds.behavior ~space ~n:5
+          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+          app)
+  in
+  Alcotest.(check int) "spec clean over PEATS rounds" 0
+    (List.length (Thc_broadcast.Srb_spec.check trace ~sender:0));
+  Alcotest.(check int) "both delivered at p3" 2
+    (List.length (Thc_broadcast.Srb_spec.deliveries trace ~sender:0 ~pid:3));
+  Alcotest.check stop_reason "PEATS readers park" `Quiescent stop
 
 let test_srb_uni_over_lockstep_driver () =
   (* Bidirectional rounds are in particular unidirectional: Algorithm 1 must
@@ -492,6 +593,45 @@ let test_neb_equivocating_sender () =
   in
   let non_bot = List.sort_uniq compare (List.filter_map Fun.id decisions) in
   Alcotest.(check bool) "agreement up to bot" true (List.length non_bot <= 1)
+
+let test_neb_late_write_wakes_parked_readers () =
+  (* The Byzantine sender stays silent, then appends its signed value
+     straight into its register at 50 ms, long after every honest reader
+     has parked in round 1.  The append itself must wake them. *)
+  let n = 4 and seed = 73L in
+  let keyring = keyring ~n ~seed () in
+  let net = Thc_sim.Net.create ~n ~default:fast in
+  let engine = Thc_sim.Engine.create ~seed ~n ~net () in
+  let registers = Thc_sharedmem.Swmr.log_array ~n in
+  let states =
+    Array.init n (fun pid ->
+        Thc_broadcast.Neb.create ~keyring
+          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+          ~sender:0 ~input:None)
+  in
+  for pid = 1 to n - 1 do
+    Thc_sim.Engine.set_behavior engine pid
+      (Thc_rounds.Swmr_rounds.behavior ~registers
+         ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+         (Thc_broadcast.Neb.app states.(pid)))
+  done;
+  Thc_sim.Engine.mark_byzantine engine 0;
+  let ident = Thc_crypto.Keyring.secret keyring ~pid:0 in
+  let late, _ = Thc_broadcast.Neb.equivocation_payloads ~ident "late" "unused" in
+  Thc_sim.Engine.at engine 50_000L (fun () ->
+      Thc_sharedmem.Swmr.append registers.(0) ~ident (1, late));
+  let trace = Thc_sim.Engine.run ~until:10_000_000L engine in
+  Alcotest.(check int) "parked readers arm no timer before the write" 0
+    (Thc_sim.Trace.count trace (function
+      | Thc_sim.Trace.Timer_fired { time; _ } -> time > 10_000L && time < 50_000L
+      | _ -> false));
+  for pid = 1 to n - 1 do
+    match Thc_broadcast.Neb.committed states.(pid) with
+    | Some (Some "late") -> ()
+    | _ -> Alcotest.failf "p%d missed the late write" pid
+  done;
+  Alcotest.check stop_reason "ends quiescent" `Quiescent
+    (Thc_sim.Engine.stop_reason engine)
 
 (* --- Dolev-Strong ------------------------------------------------------------------------- *)
 
@@ -633,11 +773,16 @@ let () =
           Alcotest.test_case "over sticky driver" `Quick test_srb_uni_over_sticky_driver;
           Alcotest.test_case "over lock-step driver" `Quick test_srb_uni_over_lockstep_driver;
           qcheck prop_srb_uni_schedules;
+          Alcotest.test_case "over PEATS driver" `Quick test_srb_uni_over_peats_driver;
+          Alcotest.test_case "sender copy kept" `Quick test_srb_uni_sender_copy_kept;
+          Alcotest.test_case "harness run quiescent" `Quick test_srb_uni_harness_quiescent;
         ] );
       ( "neb",
         [
           Alcotest.test_case "correct sender" `Quick test_neb_correct_sender;
           Alcotest.test_case "equivocating sender" `Quick test_neb_equivocating_sender;
+          Alcotest.test_case "late write wakes readers" `Quick
+            test_neb_late_write_wakes_parked_readers;
         ] );
       ( "dolev-strong",
         [

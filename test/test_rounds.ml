@@ -395,8 +395,8 @@ let test_hold_keeps_round_open () =
     (Thc_rounds.Swmr_rounds.behavior ~registers
        ~ident:(Thc_crypto.Keyring.secret keyring ~pid:0)
        holding_app);
-  (* p1 writes immediately; p2 only after a long pause — p0 must keep
-     polling across the pause. *)
+  (* p1 writes immediately; p2 only after a long pause — p0 parks across
+     the pause and the late append must wake it. *)
   Thc_sim.Engine.set_behavior engine 1
     (Thc_rounds.Swmr_rounds.behavior ~registers
        ~ident:(Thc_crypto.Keyring.secret keyring ~pid:1)

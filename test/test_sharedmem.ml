@@ -286,6 +286,61 @@ let prop_peats_rd_finds_inserted =
           <> None)
         fields)
 
+(* --- change watchers (what parks and wakes shared-memory round readers) --- *)
+
+(* [calls] records watcher firings, newest first. *)
+let watcher calls name () = calls := name :: !calls
+
+let denied f = try f () with Thc_sharedmem.Acl.Violation _ -> ()
+
+let test_swmr_on_change () =
+  let k = keyring () in
+  let r = Thc_sharedmem.Swmr.create_log ~owner:0 in
+  let calls = ref [] in
+  Thc_sharedmem.Swmr.on_change r (watcher calls "a");
+  Thc_sharedmem.Swmr.on_change r (watcher calls "b");
+  Thc_sharedmem.Swmr.append r ~ident:(ident k 0) 1;
+  Alcotest.(check (list string)) "append fires all, in registration order"
+    [ "b"; "a" ] !calls;
+  denied (fun () -> Thc_sharedmem.Swmr.append r ~ident:(ident k 1) 2);
+  Alcotest.(check int) "a denied append fires nothing" 2 (List.length !calls);
+  Thc_sharedmem.Swmr.write r ~ident:(ident k 0) [ 3 ];
+  Alcotest.(check int) "write fires" 4 (List.length !calls);
+  ignore (Thc_sharedmem.Swmr.read r : int list);
+  Alcotest.(check int) "a read fires nothing" 4 (List.length !calls)
+
+let test_sticky_on_change () =
+  let k = keyring () in
+  let c = Thc_sharedmem.Sticky.create ~write_acl:(Thc_sharedmem.Acl.only 0) () in
+  let calls = ref [] in
+  Thc_sharedmem.Sticky.on_change c (watcher calls "w");
+  denied (fun () -> ignore (Thc_sharedmem.Sticky.set c ~ident:(ident k 1) "x"));
+  Alcotest.(check int) "denied set fires nothing" 0 (List.length !calls);
+  ignore (Thc_sharedmem.Sticky.set c ~ident:(ident k 0) "x");
+  ignore (Thc_sharedmem.Sticky.set c ~ident:(ident k 0) "y");
+  Alcotest.(check int) "only the sticking set fires" 1 (List.length !calls)
+
+let test_peats_on_change () =
+  let k = keyring () in
+  let s = owned_space () in
+  let calls = ref [] in
+  Thc_sharedmem.Peats.on_change s (watcher calls "w");
+  Thc_sharedmem.Peats.out s ~ident:(ident k 0) [| "0"; "v" |];
+  denied (fun () -> Thc_sharedmem.Peats.out s ~ident:(ident k 1) [| "0"; "spoof" |]);
+  ignore (Thc_sharedmem.Peats.rd_all s ~ident:(ident k 1) [| None; None |]);
+  Alcotest.(check int) "out fires; denied out and reads do not" 1
+    (List.length !calls);
+  let open_space =
+    Thc_sharedmem.Peats.create ~policy:(fun ~pid:_ ~op:_ ~space:_ -> true)
+  in
+  Thc_sharedmem.Peats.on_change open_space (watcher calls "open");
+  ignore (Thc_sharedmem.Peats.inp open_space ~ident:(ident k 0) [| None |]);
+  Alcotest.(check int) "inp that removes nothing fires nothing" 1
+    (List.length !calls);
+  Thc_sharedmem.Peats.out open_space ~ident:(ident k 0) [| "t" |];
+  ignore (Thc_sharedmem.Peats.inp open_space ~ident:(ident k 0) [| None |]);
+  Alcotest.(check int) "out and removing inp fire" 3 (List.length !calls)
+
 let () =
   Alcotest.run "thc_sharedmem"
     [
@@ -313,11 +368,13 @@ let () =
           Alcotest.test_case "ledger denials"
             `Quick test_swmr_ledger_denials_are_rejections;
           qcheck prop_swmr_log_preserves_sequence;
+          Alcotest.test_case "on_change" `Quick test_swmr_on_change;
         ] );
       ( "sticky",
         [
           Alcotest.test_case "first write wins" `Quick test_sticky_first_write_wins;
           Alcotest.test_case "acl" `Quick test_sticky_acl;
+          Alcotest.test_case "on_change" `Quick test_sticky_on_change;
         ] );
       ( "peats",
         [
@@ -329,5 +386,6 @@ let () =
           Alcotest.test_case "matching" `Quick test_peats_matching;
           Alcotest.test_case "inp removes oldest" `Quick test_peats_inp_removes_oldest;
           qcheck prop_peats_rd_finds_inserted;
+          Alcotest.test_case "on_change" `Quick test_peats_on_change;
         ] );
     ]

@@ -355,6 +355,29 @@ let test_until_bound () =
   Alcotest.(check int) "events past the bound unprocessed" 0
     (List.length !received)
 
+let test_stop_reason () =
+  let stop ?until () =
+    let engine = Thc_sim.Engine.create ~n:2 ~net:(net 2) () in
+    Thc_sim.Engine.set_behavior engine 0 (sender_at ~at:5_000L ~dst:1 1);
+    Thc_sim.Engine.set_behavior engine 1 (recorder (ref []));
+    (match Thc_sim.Engine.stop_reason engine with
+    | _ -> Alcotest.fail "stop reason before the run"
+    | exception Invalid_argument _ -> ());
+    ignore (Thc_sim.Engine.run ?until engine);
+    Thc_sim.Engine.stop_reason engine
+  in
+  let reason =
+    Alcotest.testable
+      (fun ppf r ->
+        Format.pp_print_string ppf
+          (match r with `Quiescent -> "quiescent" | `Horizon -> "horizon"))
+      ( = )
+  in
+  Alcotest.check reason "event left past until" `Horizon (stop ~until:1_000L ());
+  Alcotest.check reason "queue ran dry before until" `Quiescent
+    (stop ~until:1_000_000L ());
+  Alcotest.check reason "no until" `Quiescent (stop ())
+
 let test_event_limit () =
   let n = 1 in
   let engine = Thc_sim.Engine.create ~n ~net:(net n) () in
@@ -728,6 +751,7 @@ let () =
           Alcotest.test_case "until bound" `Quick test_until_bound;
           Alcotest.test_case "event limit" `Quick test_event_limit;
           Alcotest.test_case "reception transcript" `Quick test_reception_transcript;
+          Alcotest.test_case "stop reason" `Quick test_stop_reason;
         ] );
       ( "delays",
         [ qcheck prop_delay_uniform_bounds; qcheck prop_delay_exponential_positive ] );
